@@ -8,7 +8,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/parallel.hpp"
 
 namespace gnndse::dse {
 
@@ -48,6 +47,7 @@ SweepEngine::SweepEngine(const ModelBundle& models,
   if (opts_.keep == 0)
     throw std::invalid_argument("SweepEngine: keep must be >= 1");
   pending_.reserve(static_cast<std::size_t>(opts_.chunk));
+  worker_ = std::thread([this] { worker_loop(); });
 }
 
 SweepEngine::~SweepEngine() {
@@ -74,14 +74,13 @@ void SweepEngine::push(DesignConfig&& cfg) {
 void SweepEngine::dispatch() {
   if (pending_.empty()) return;
   if (cancelled()) {
-    // Drop work that never reached a batch; in-flight chunks still finish,
-    // mirroring the serial path's "one chunk completes, then wind down".
+    // Drop work that never reached a batch; in-flight chunks still finish.
     pending_.clear();
     return;
   }
   rethrow_pending_error();
   Slot& s = slots_[static_cast<std::size_t>(fill_idx_)];
-  if (opts_.pipelined) {
+  {
     std::unique_lock<std::mutex> lock(mu_);
     cv_to_producer_.wait(lock, [&] { return !s.ready; });
   }
@@ -91,110 +90,54 @@ void SweepEngine::dispatch() {
   s.first_seq = next_seq_;
   next_seq_ += s.configs.size();
   featurize_slot(s);
-  if (opts_.pipelined) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      s.ready = true;
-      ++dispatched_chunks_;
-    }
-    cv_to_consumer_.notify_one();
-    if (!worker_started_) {
-      worker_ = std::thread([this] { worker_loop(); });
-      worker_started_ = true;
-    }
-    fill_idx_ ^= 1;
-  } else {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    s.ready = true;
     ++dispatched_chunks_;
-    score_slot(s);
-    s.configs.clear();
-    s.graphs.clear();
-    ++scored_chunks_;
   }
+  cv_to_consumer_.notify_one();
+  fill_idx_ ^= 1;
 }
 
 void SweepEngine::featurize_slot(Slot& s) {
   static obs::Histogram& h_feat = obs::histogram("dse.featurize_chunk_ms");
-  static obs::Histogram& h_stage = obs::histogram("dse.pipeline.stage_ms");
   util::Timer t;
-  if (opts_.use_fast_path) {
-    // Lease (or reuse) a batch skeleton sized for this chunk and rewrite
-    // its pragma slots. The lease is private to this engine, so the
-    // consumer can predict from the other slot concurrently.
-    if (!s.batch || s.batch->size != s.configs.size()) {
-      if (s.batch) factory_.release_slot(std::move(s.batch));
-      s.batch = factory_.acquire_slot(kernel_, s.configs.size());
-    }
-    factory_.write_slot(kernel_, s.configs, *s.batch);
-  } else {
-    // Legacy tape path (bench_fastpath's baseline): full per-config
-    // featurization, exactly what every release before the fast path did.
-    s.graphs.resize(s.configs.size());
-    util::parallel_for(
-        static_cast<std::int64_t>(s.configs.size()), 8,
-        [&](std::int64_t begin, std::int64_t end) {
-          for (std::int64_t i = begin; i < end; ++i)
-            s.graphs[static_cast<std::size_t>(i)] = factory_.featurize_full(
-                kernel_, s.configs[static_cast<std::size_t>(i)]);
-        });
+  // Lease (or reuse) a batch skeleton sized for this chunk and rewrite its
+  // pragma slots. The lease is private to this engine, so the consumer can
+  // predict from the other slot concurrently.
+  if (!s.batch || s.batch->size != s.configs.size()) {
+    if (s.batch) factory_.release_slot(std::move(s.batch));
+    s.batch = factory_.acquire_slot(kernel_, s.configs.size());
   }
+  factory_.write_slot(kernel_, s.configs, *s.batch);
   const double ms = t.millis();
   obs::observe(h_feat, ms);
-  obs::observe(h_stage, ms);
   feat_us_.fetch_add(micros(ms), std::memory_order_relaxed);
 }
 
 void SweepEngine::score_slot(Slot& s) {
   static obs::Histogram& h_pred = obs::histogram("dse.predict_chunk_ms");
   static obs::Histogram& h_rank = obs::histogram("dse.frontier_keep_ms");
-  static obs::Histogram& h_stage = obs::histogram("dse.pipeline.stage_ms");
   static obs::Counter& c_pruned = obs::counter("dse.pruned_by_classifier");
   static obs::Counter& c_explored = obs::counter("dse.configs_explored");
   static obs::Gauge& g_elapsed = obs::gauge("dse.search_elapsed_seconds");
   static obs::Gauge& g_frontier = obs::gauge("dse.frontier_size");
   static obs::Gauge& g_overlap = obs::gauge("dse.pipeline.overlap_ratio");
 
-  const tensor::Tensor* main_pred = nullptr;
-  const tensor::Tensor* bram_pred = nullptr;
-  const tensor::Tensor* valid_pred = nullptr;
-  // Tape-path temporaries (owning); the fast path borrows the per-trainer
-  // inference workspaces instead (three distinct sessions, so all three
-  // references stay valid through the fill loop).
-  tensor::Tensor main_t, bram_t, valid_t;
-
+  // The three heads fan out as pool tasks (inline, in head order, with one
+  // lane). Each output borrows its trainer's inference workspace — three
+  // distinct sessions, so all three stay valid through the fill loop.
   util::Timer pred_timer;
-  if (opts_.use_fast_path) {
-    const gnn::GraphBatch& batch = s.batch->batch;
-    if (opts_.pipelined) {
-      // The three heads fan out as pool tasks; with one lane they run
-      // inline in the same order as the serial branch below.
-      const std::array<model::Trainer*, 3> heads{
-          models_.regression_main, models_.regression_bram,
-          models_.classifier};
-      std::array<const tensor::Tensor*, 3> outs{};
-      model::predict_batch_concurrent(heads, batch, outs);
-      main_pred = outs[0];
-      bram_pred = outs[1];
-      valid_pred = outs[2];
-    } else {
-      main_pred = &models_.regression_main->predict_batch(batch);
-      bram_pred = &models_.regression_bram->predict_batch(batch);
-      valid_pred = &models_.classifier->predict_batch(batch);
-    }
-  } else {
-    std::vector<const gnn::GraphData*> ptrs;
-    ptrs.reserve(s.graphs.size());
-    for (const auto& g : s.graphs) ptrs.push_back(&g);
-    main_t = models_.regression_main->predict_graphs_tape(ptrs);
-    bram_t = models_.regression_bram->predict_graphs_tape(ptrs);
-    valid_t = models_.classifier->predict_graphs_tape(ptrs);
-    main_pred = &main_t;
-    bram_pred = &bram_t;
-    valid_pred = &valid_t;
-  }
+  const std::array<model::Trainer*, 3> heads{
+      models_.regression_main, models_.regression_bram, models_.classifier};
+  std::array<const tensor::Tensor*, 3> outs{};
+  model::predict_batch_concurrent(heads, s.batch->batch, outs);
+  const tensor::Tensor& main_pred = *outs[0];
+  const tensor::Tensor& bram_pred = *outs[1];
+  const tensor::Tensor& valid_pred = *outs[2];
   {
     const double ms = pred_timer.millis();
     obs::observe(h_pred, ms);
-    obs::observe(h_stage, ms);
     pred_us_.fetch_add(micros(ms), std::memory_order_relaxed);
   }
 
@@ -205,12 +148,12 @@ void SweepEngine::score_slot(Slot& s) {
     Scored sc;
     sc.d.config = std::move(s.configs[i]);
     const auto row = static_cast<std::int64_t>(i);
-    sc.d.predicted[model::kLatency] = main_pred->at(row, 0);
-    sc.d.predicted[model::kDsp] = main_pred->at(row, 1);
-    sc.d.predicted[model::kLut] = main_pred->at(row, 2);
-    sc.d.predicted[model::kFf] = main_pred->at(row, 3);
-    sc.d.predicted[model::kBram] = bram_pred->at(row, 0);
-    sc.d.p_valid = sigmoidf(valid_pred->at(row, 0));
+    sc.d.predicted[model::kLatency] = main_pred.at(row, 0);
+    sc.d.predicted[model::kDsp] = main_pred.at(row, 1);
+    sc.d.predicted[model::kLut] = main_pred.at(row, 2);
+    sc.d.predicted[model::kFf] = main_pred.at(row, 3);
+    sc.d.predicted[model::kBram] = bram_pred.at(row, 0);
+    sc.d.p_valid = sigmoidf(valid_pred.at(row, 0));
     if (sc.d.p_valid < 0.5f) ++pruned;
     sc.score = ranking_score(sc.d, opts_.util_threshold);
     sc.seq = s.first_seq + i;
@@ -223,7 +166,6 @@ void SweepEngine::score_slot(Slot& s) {
   {
     const double ms = rank_timer.millis();
     obs::observe(h_rank, ms);
-    obs::observe(h_stage, ms);
     rank_us_.fetch_add(micros(ms), std::memory_order_relaxed);
   }
 
@@ -246,9 +188,8 @@ void SweepEngine::score_slot(Slot& s) {
 void SweepEngine::keep_top() {
   if (frontier_.size() <= opts_.keep) return;
   // Bounded frontier: a design outside the best `keep` so far can never
-  // re-enter the final top `keep`, so truncating per chunk is exact (the
-  // serial path's per-flush sort+resize kept the same invariant). Average
-  // O(n) nth_element instead of the old full sort per flush.
+  // re-enter the final top `keep`, so truncating per chunk is exact.
+  // Average O(n) nth_element instead of a full sort per chunk.
   const auto kth =
       frontier_.begin() + static_cast<std::ptrdiff_t>(opts_.keep);
   std::nth_element(frontier_.begin(), kth, frontier_.end(),
@@ -275,7 +216,6 @@ void SweepEngine::worker_loop() {
       err = std::current_exception();
     }
     s.configs.clear();
-    s.graphs.clear();
     lock.lock();
     s.ready = false;
     if (err && !error_) error_ = err;
@@ -287,7 +227,7 @@ void SweepEngine::worker_loop() {
 
 void SweepEngine::barrier() {
   dispatch();
-  if (opts_.pipelined && worker_started_) {
+  {
     std::unique_lock<std::mutex> lock(mu_);
     cv_to_producer_.wait(
         lock, [&] { return scored_chunks_ == dispatched_chunks_; });
@@ -341,19 +281,17 @@ std::vector<RankedDesign> SweepEngine::finish() {
   out.reserve(frontier_.size());
   for (Scored& sc : frontier_) out.push_back(std::move(sc.d));
   frontier_.clear();
-  finished_ = true;
   return out;
 }
 
 void SweepEngine::stop_worker() {
-  if (!worker_started_) return;
+  if (!worker_.joinable()) return;
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
   cv_to_consumer_.notify_all();
-  if (worker_.joinable()) worker_.join();
-  worker_started_ = false;
+  worker_.join();
 }
 
 }  // namespace gnndse::dse

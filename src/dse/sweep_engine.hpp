@@ -1,9 +1,8 @@
 // Pipelined sweep engine: the scoring core of model-driven DSE.
 //
-// ModelDse::run used to execute three serialized stages per chunk —
-// featurize (pragma-slot rewrite of a pooled GraphBatch), predict (three
-// model heads back-to-back), rank (full std::sort of the frontier) — on
-// one thread. The engine overlaps them:
+// Each chunk of candidate configs passes three stages — featurize
+// (pragma-slot rewrite of a leased GraphBatch), predict (three model
+// heads), rank (bounded top-K frontier). The engine overlaps them:
 //
 //   producer (search thread)            consumer (scoring thread)
 //   ------------------------            -------------------------
@@ -15,19 +14,20 @@
 //
 // Two leased SampleFactory batch slots double-buffer the chunks, so the
 // producer writes slot A while the consumer predicts from slot B. The
-// ranked output is bit-identical to the serial path at every thread count
-// (enforced by tests/test_sweep.cpp): per-row predictions are independent
-// of batch composition, the frontier orders by a strict total order
-// (score desc, then push sequence asc), and a bounded keep can never
-// evict a design that would make the final top-K.
+// ranked output is the brute-force ranking — every config predicted on
+// the tape, stable-sorted by (score desc, push order asc) — bit for bit
+// at every thread count (enforced by tests/test_sweep.cpp): per-row
+// predictions are independent of batch composition, the frontier orders
+// by a strict total order (score desc, then push sequence asc), and a
+// bounded keep can never evict a design that would make the final top-K.
 //
 // Telemetry: per-stage histograms `dse.featurize_chunk_ms`,
-// `dse.predict_chunk_ms`, `dse.frontier_keep_ms` (all three also observed
-// into `dse.pipeline.stage_ms`), live gauges `dse.pipeline.overlap_ratio`
-// (sum of stage time / wall time — > 1 means stages genuinely overlap)
-// and `dse.sweep_configs_per_sec`, plus the `dse.search_elapsed_seconds` /
-// `dse.frontier_size` / `dse.configs_explored` progress metrics the serve
-// daemon's heartbeat and poll responses read while a sweep job runs.
+// `dse.predict_chunk_ms`, `dse.frontier_keep_ms`, live gauges
+// `dse.pipeline.overlap_ratio` (sum of stage time / wall time — > 1 means
+// stages genuinely overlap) and `dse.sweep_configs_per_sec`, plus the
+// `dse.search_elapsed_seconds` / `dse.frontier_size` /
+// `dse.configs_explored` progress metrics the serve daemon's heartbeat and
+// poll responses read while a sweep job runs.
 #pragma once
 
 #include <array>
@@ -70,24 +70,19 @@ struct SweepStageStats {
   double predict_ms = 0.0;
   double rank_ms = 0.0;
   double wall_ms = 0.0;
-  /// (featurize + predict + rank) / wall. Serial runs sit at <= 1; values
-  /// above 1 measure how much stage time the pipeline hid.
+  /// (featurize + predict + rank) / wall. Values above 1 measure how much
+  /// stage time the pipeline hid.
   double overlap_ratio = 0.0;
   std::uint64_t chunks = 0;
 };
 
 struct SweepEngineOptions {
-  /// Configs per scored chunk (one GraphBatch / one tape batch).
+  /// Configs per scored chunk (one leased GraphBatch).
   int chunk = 256;
   /// Frontier bound: the engine keeps the best `keep` designs seen so far
   /// (ModelDse uses max(top_m, beam_width) * 4).
   std::size_t keep = 128;
   double util_threshold = 0.8;
-  /// Fast path (pooled batch + tape-free forward) vs legacy tape path.
-  bool use_fast_path = true;
-  /// false runs featurize/predict/rank back-to-back on the calling thread
-  /// — the reference serial engine the pipelined mode is tested against.
-  bool pipelined = true;
   /// Cooperative cancellation (see DseOptions::cancel): pending configs
   /// not yet handed to a batch are dropped; the in-flight chunk finishes.
   const std::atomic<bool>* cancel = nullptr;
@@ -95,8 +90,9 @@ struct SweepEngineOptions {
 
 /// Producer API: push() every candidate config (chunks auto-dispatch),
 /// barrier()/top_configs() at beam refresh points, finish() for the final
-/// sorted frontier. Single producer thread; the engine owns its single
-/// consumer thread. Not reusable after finish().
+/// sorted frontier. Single producer thread; the engine starts its single
+/// consumer thread ("sweep-score") on construction. Not reusable after
+/// finish().
 class SweepEngine {
  public:
   /// `kernel` and the bundle's trainers must outlive the engine. The
@@ -133,15 +129,14 @@ class SweepEngine {
 
  private:
   struct Slot {
-    std::shared_ptr<model::SampleFactory::BatchSlot> batch;  // fast path
+    std::shared_ptr<model::SampleFactory::BatchSlot> batch;
     std::vector<hlssim::DesignConfig> configs;
-    std::vector<gnn::GraphData> graphs;  // tape path
     std::uint64_t first_seq = 0;
     bool ready = false;  // guarded by mu_: featurized, waiting for scoring
   };
-  /// Frontier entry. `seq` is the push-order sequence number: identical
-  /// across serial and pipelined runs, it makes (score desc, seq asc) a
-  /// strict total order, so tie-breaks are deterministic.
+  /// Frontier entry. `seq` is the push-order sequence number: it makes
+  /// (score desc, seq asc) a strict total order, so tie-breaks are
+  /// deterministic.
   struct Scored {
     RankedDesign d;
     double score = 0.0;
@@ -157,11 +152,11 @@ class SweepEngine {
   }
   void rethrow_pending_error();
   /// Moves `pending_` into the current fill slot, featurizes it, and hands
-  /// it to the scorer (inline in serial mode).
+  /// it to the scoring thread.
   void dispatch();
   void featurize_slot(Slot& s);
   /// Predict + rank one featurized slot; appends to the frontier and
-  /// prunes it to `opts.keep` (runs on the consumer thread when pipelined).
+  /// prunes it to `opts.keep` (runs on the scoring thread).
   void score_slot(Slot& s);
   void keep_top();
   void worker_loop();
@@ -177,7 +172,6 @@ class SweepEngine {
   std::vector<hlssim::DesignConfig> pending_;
   std::uint64_t next_seq_ = 0;
   int fill_idx_ = 0;
-  bool finished_ = false;
 
   // Shared pipeline state (guarded by mu_ unless noted).
   std::array<Slot, 2> slots_;
@@ -189,8 +183,6 @@ class SweepEngine {
   std::mutex mu_;
   std::condition_variable cv_to_consumer_;
   std::condition_variable cv_to_producer_;
-  std::thread worker_;
-  bool worker_started_ = false;
 
   // Consumer-side state; the producer reads it only after a barrier (the
   // scored_chunks_ handshake under mu_ orders those accesses).
@@ -202,6 +194,10 @@ class SweepEngine {
   std::atomic<std::int64_t> pred_us_{0};
   std::atomic<std::int64_t> rank_us_{0};
   SweepStageStats stats_;
+
+  // Declared last: the scoring thread uses every member above, and it is
+  // started at the end of the constructor and joined before they go away.
+  std::thread worker_;
 };
 
 }  // namespace gnndse::dse

@@ -11,7 +11,7 @@ class Reader {
       : text_(text), context_(context), allow_float_(allow_float) {}
 
   Value parse() {
-    Value v = value();
+    Value v = value(0);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing content after the top-level value");
     return v;
@@ -44,8 +44,13 @@ class Reader {
     ++pos_;
   }
 
-  Value value() {
+  /// `depth` counts the containers already open around this value; the
+  /// bound keeps the recursion (and Value's recursive destructor) off the
+  /// end of the stack however deep the input nests.
+  Value value(int depth) {
     const char c = peek();
+    if ((c == '{' || c == '[') && depth >= kMaxDepth)
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
     Value v;
     v.line = line_;
     if (c == '{') {
@@ -60,7 +65,7 @@ class Reader {
         expect(':');
         for (const auto& kv : v.object)
           if (kv.first == key.str) fail("duplicate key \"" + key.str + "\"");
-        v.object.emplace_back(key.str, value());
+        v.object.emplace_back(key.str, value(depth + 1));
         if (peek() == ',') {
           ++pos_;
           continue;
@@ -77,7 +82,7 @@ class Reader {
         return v;
       }
       while (true) {
-        v.array.push_back(value());
+        v.array.push_back(value(depth + 1));
         if (peek() == ',') {
           ++pos_;
           continue;

@@ -15,6 +15,11 @@
 
 namespace gnndse::frontend::json {
 
+/// Deepest object/array nesting parse_value accepts. Kernel files nest 5
+/// levels (kernel > stmts > stmt > accesses > access) and serve requests
+/// one more; anything past this bound fails like any other syntax error.
+inline constexpr int kMaxDepth = 64;
+
 struct Value {
   enum class Type { kObject, kArray, kString, kInt, kDouble, kBool };
   Type type = Type::kObject;
@@ -38,7 +43,8 @@ struct Value {
 /// With allow_float=false a fractional/exponent number fails with the
 /// kernel format's historical "fields are integers" message; otherwise it
 /// parses as kDouble.
-/// Throws std::invalid_argument on any syntax error.
+/// Throws std::invalid_argument on any syntax error, including nesting
+/// deeper than kMaxDepth.
 Value parse_value(const std::string& text, const std::string& context,
                   bool allow_float = true);
 

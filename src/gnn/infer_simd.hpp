@@ -4,11 +4,11 @@
 // Every function computes the exact per-element expressions of the scalar
 // loop it replaces, in the exact same order. Vectorization only ever
 // crosses *independent* rows/edges/columns:
-//   * per-row reductions (row_sum, edge_attention_scores) put 8/16
-//     different rows or edges in the vector lanes via gathers — each
-//     lane's additions stay in ascending-j order, so the bits match the
-//     scalar loop no matter how rows are split across lanes, blocks, or
-//     threads;
+//   * per-row reductions put 8/16 different rows or edges in the vector
+//     lanes — row_sum via gathers, edge_attention_scores via contiguous
+//     row loads and an in-register 8x8 transpose — and each lane's
+//     additions stay in ascending-j order, so the bits match the scalar
+//     loop no matter how rows are split across lanes, blocks, or threads;
 //   * order-sensitive cross-row accumulation (weighted_scatter_add's
 //     colliding destinations) stays serial over edges and vectorizes only
 //     the per-edge column sweep (disjoint writes);
@@ -45,24 +45,6 @@ void residual_concat_range(SimdLevel level, const float* rp, const float* mp,
 void gated_mix_range(SimdLevel level, const float* mp, const float* bp,
                      const float* dp, float* op, std::int64_t c,
                      std::int64_t begin, std::int64_t end);
-
-/// Which AVX2 body edge_attention_scores_range uses at the kAvx2 level.
-/// kGather: one edge per lane, three gathers per column — wins on
-/// gather-rich cores. kTranspose: 8 unaligned row loads and an in-register
-/// 8x8 transpose per 8-edge x 8-column block, no gathers — wins on cores
-/// where gathers are microcoded (the ~0.94x case in docs/performance.md).
-/// Both accumulate each edge's products in ascending-j order, so they are
-/// bit-identical to the scalar body and to each other.
-enum class EdgeAttnVariant { kGather, kTranspose };
-
-/// The active variant: GNNDSE_EDGE_ATTN=gather|transpose (default gather,
-/// unknown values warn and fall back), resolved once on first use.
-EdgeAttnVariant edge_attn_variant();
-
-/// In-process override for tests/benchmarks; returns the applied variant.
-EdgeAttnVariant set_edge_attn_variant(EdgeAttnVariant v);
-
-const char* edge_attn_variant_name(EdgeAttnVariant v);
 
 /// op[e] = (sum_j qp[dst[e]*d + j] * (kp[src[e]*d + j] + ep[e*d + j])) * scale
 /// for edges [begin, end), ascending j.

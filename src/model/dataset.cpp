@@ -142,25 +142,6 @@ gnn::GraphData SampleFactory::featurize(const kir::Kernel& kernel,
   return g;
 }
 
-gnn::GraphData SampleFactory::featurize_full(const kir::Kernel& kernel,
-                                             const hlssim::DesignConfig& cfg) {
-  static obs::Counter& c_built = obs::counter("graphgen.graphs_built");
-  static obs::Histogram& h_feat = obs::histogram("graphgen.featurize_ms");
-  util::Timer timer;
-  const auto kc = cache_for(kernel);  // pins the template against eviction
-  gnn::GraphData g;
-  g.x = graphgen::node_features(kc->graph, *kc->space, cfg);
-  g.e = kc->edge_feats;
-  g.src = kc->src;
-  g.dst = kc->dst;
-  g.aux = graphgen::pragma_vector(*kc->space, cfg, kMaxPragmaSites);
-  if (obs::enabled()) {
-    c_built.add();
-    h_feat.observe(timer.millis());
-  }
-  return g;
-}
-
 std::shared_ptr<SampleFactory::BatchSlot> SampleFactory::acquire_slot(
     const kir::Kernel& kernel, std::size_t size) {
   static obs::Counter& c_hits = obs::counter("gnn.batch_skeleton_hits");
@@ -240,19 +221,6 @@ void SampleFactory::release_slot(std::shared_ptr<BatchSlot> slot) {
   std::lock_guard<std::mutex> lock(mu_);
   free_slots_.push_front(std::move(slot));
   if (free_slots_.size() > kMaxSkeletons) free_slots_.pop_back();
-}
-
-const gnn::GraphBatch& SampleFactory::batch_for(
-    const kir::Kernel& kernel, std::span<const hlssim::DesignConfig> configs) {
-  if (configs.empty())
-    throw std::invalid_argument("batch_for: empty config list");
-  // Release-then-reacquire keeps the previous call's skeleton at the front
-  // of the free list, so back-to-back chunks of the same shape reuse one
-  // batch (and one batch_id) exactly as the old single-slot cache did.
-  if (held_slot_) release_slot(std::move(held_slot_));
-  held_slot_ = acquire_slot(kernel, configs.size());
-  write_slot(kernel, configs, *held_slot_);
-  return held_slot_->batch;
 }
 
 Sample SampleFactory::make(const kir::Kernel& kernel,

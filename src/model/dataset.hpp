@@ -48,8 +48,9 @@ struct Sample {
 ///    size past the budget, least-recently-used templates are evicted —
 ///    never the just-touched MRU entry, so the kernel being worked on
 ///    always stays resident. Entries are shared_ptr-held; featurize()/
-///    batch_for() pin the template they use, so a concurrent eviction can
-///    only drop the map's reference, never free a template mid-use.
+///    acquire_slot()/write_slot() pin the template they use, so a
+///    concurrent eviction can only drop the map's reference, never free a
+///    template mid-use.
 ///    References returned by space()/graph() are valid while the template
 ///    is resident: for the single-kernel DSE/attention loops that is the
 ///    MRU guarantee; callers interleaving many kernels under a tight
@@ -61,18 +62,15 @@ struct Sample {
 ///    template graph, pooled per (kernel, B) since topology (src_sl/
 ///    dst_sl/gcn_coeff/node_graph/node_offset) is identical across
 ///    configurations. acquire_slot()/write_slot()/release_slot() lease
-///    skeletons out of a bounded free list; batch_for() is a convenience
-///    wrapper holding one lease, reducing per-config featurization to
-///    rewriting pragma feature slots inside the pooled batch.
+///    skeletons out of a bounded free list, reducing per-config
+///    featurization to rewriting pragma feature slots inside the pooled
+///    batch.
 ///    Telemetry: `gnn.batch_skeleton_hits` / `gnn.batch_skeleton_misses`.
 ///
 /// Thread-safe for featurize()/space()/graph() (mutex-guarded map with
 /// reference-stable, immutable-once-built entries) and for acquire_slot()/
 /// release_slot() (mutex-guarded free list) — the parallel DSE, the
-/// pipelined sweep engine, and trainer stages rely on that. batch_for() is
-/// single-consumer: it returns a reference into its held slot that is
-/// valid (and must not be used concurrently) until the next batch_for()
-/// call on the same factory.
+/// pipelined sweep engine, and trainer stages rely on that.
 class SampleFactory {
  public:
   /// Budget from GNNDSE_TEMPLATE_BUDGET (default 256 MiB).
@@ -89,28 +87,12 @@ class SampleFactory {
   gnn::GraphData featurize(const kir::Kernel& kernel,
                            const hlssim::DesignConfig& cfg);
 
-  /// Featurization without the static-feature template: recomputes the full
-  /// node-feature matrix per config, exactly as the pipeline did before the
-  /// template cache existed. Same bits as featurize(); only slower. The DSE
-  /// tape path uses it so bench_fastpath's baseline measures the
-  /// pre-fast-path pipeline rather than a hybrid that already enjoys the
-  /// template cache.
-  gnn::GraphData featurize_full(const kir::Kernel& kernel,
-                                const hlssim::DesignConfig& cfg);
-
-  /// Shared batch assembly for one DSE chunk: one GraphBatch reused by all
-  /// three model heads, with the topology skeleton cached per (kernel,
-  /// configs.size()) and only the pragma-dependent feature slots rewritten
-  /// per call. Bit-identical to featurizing each config and calling
-  /// gnn::make_batch.
-  const gnn::GraphBatch& batch_for(const kir::Kernel& kernel,
-                                   std::span<const hlssim::DesignConfig> configs);
-
   /// A leased batch skeleton: the assembled GraphBatch for `size` copies of
   /// one kernel's template graph, owned by the caller until release_slot().
-  /// Unlike batch_for()'s single shared slot, several leased slots of the
-  /// same (kernel, size) can be live at once — the pipelined sweep engine
-  /// double-buffers two and writes them from different threads. The
+  /// One GraphBatch per DSE chunk is shared by all three model heads.
+  /// Several leased slots of the same (kernel, size) can be live at once —
+  /// the pipelined sweep engine double-buffers two and writes them from
+  /// different threads. The
   /// GraphBatch (and its batch_id, which keys the conv layers'
   /// edge-projection caches) stays stable across write_slot() calls;
   /// release_slot() parks it on a bounded free list so repeated sweeps
@@ -164,9 +146,6 @@ class SampleFactory {
   /// 9-kernel run). Guarded by mu_; leased slots live outside the list.
   static constexpr std::size_t kMaxSkeletons = 4;
   std::list<std::shared_ptr<BatchSlot>> free_slots_;
-  /// batch_for()'s single shared lease (released and reacquired per call,
-  /// so the MRU free slot keeps its batch_id across calls).
-  std::shared_ptr<BatchSlot> held_slot_;
 
   std::mutex mu_;
   struct TemplateEntry {

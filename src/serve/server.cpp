@@ -237,9 +237,10 @@ std::string Server::handle_sweep(Request& req) {
 void Server::run_sweep_job(const std::shared_ptr<SweepJob>& job,
                            Request req) {
   try {
-    // Private instance + factory: ModelDse drives batch_for (a
-    // single-consumer path) and trainers are never shareable, so nothing
-    // here touches the batcher's state.
+    // Private instance + factory: trainers are never shareable (each owns
+    // its inference workspace), and the sweep's templates and leased batch
+    // skeletons stay out of the batcher's cache, so nothing here touches
+    // the batcher's state.
     ModelInstance instance;
     instance.ensure(slot_.current());
     job->model_version = instance.version();

@@ -1,6 +1,7 @@
 // Tape-free inference fast path: bit-identity against the autodiff tape
-// across model variants, heads, and thread counts; template/skeleton cache
-// behaviour; and workspace reuse (no steady-state allocation).
+// across model variants, heads, and thread counts; template featurization
+// against a full recompute; template/skeleton cache behaviour; and
+// workspace reuse (no steady-state allocation).
 #include "gnn/infer.hpp"
 #include "model/dataset.hpp"
 #include "model/predictive_model.hpp"
@@ -13,7 +14,9 @@
 
 #include "dspace/design_space.hpp"
 #include "gnn/batch.hpp"
+#include "graphgen/featurize.hpp"
 #include "kernels/kernels.hpp"
+#include "kernels/registry.hpp"
 #include "obs/metrics.hpp"
 #include "oracle/evaluator.hpp"
 #include "util/parallel.hpp"
@@ -136,18 +139,43 @@ TEST(FastPath, UngatedResidualAndSingleObjectiveHeadsBitIdentical) {
   }
 }
 
-TEST(FastPath, BatchForMatchesPerConfigAssembly) {
+TEST(FastPath, TemplateFeaturizeMatchesFullRecompute) {
+  // featurize() copies the kernel's static template and rewrites only the
+  // pragma slots; that must equal recomputing every node feature from the
+  // program graph, for every compiled kernel and any configuration.
+  auto& reg = kernels::Registry::global();
+  auto names = reg.names(kernels::Provenance::kBuiltin);
+  for (const auto& n : reg.names(kernels::Provenance::kExtension))
+    names.push_back(n);
+  ASSERT_FALSE(names.empty());
+  SampleFactory factory;
+  for (const std::string& name : names) {
+    const kir::Kernel kernel = kernels::make_kernel(name);
+    auto configs = sample_configs(kernel, 3, 41);
+    configs.push_back(hlssim::DesignConfig::neutral(kernel));
+    for (const auto& cfg : configs) {
+      const gnn::GraphData g = factory.featurize(kernel, cfg);
+      const tensor::Tensor full = graphgen::node_features(
+          factory.graph(kernel), factory.space(kernel), cfg);
+      expect_bitwise(full, g.x, name.c_str());
+    }
+  }
+}
+
+TEST(FastPath, LeasedSlotMatchesPerConfigAssembly) {
   kir::Kernel kernel = kernels::make_kernel("gemm-ncubed");
   SampleFactory factory;
 
-  // Two different config sets of the same size: the second call reuses the
-  // first call's cached skeleton, so it also proves per-config pragma slots
-  // never leak between calls.
+  // Two different config sets of the same size: the second lease reuses
+  // the first one's released skeleton, so it also proves per-config pragma
+  // slots never leak between writes.
   for (std::uint64_t seed : {1u, 2u}) {
     const auto configs = sample_configs(kernel, 8, seed);
     const auto graphs = featurize_all(factory, kernel, configs);
     gnn::GraphBatch ref = gnn::make_batch(pointers(graphs));
-    const gnn::GraphBatch& b = factory.batch_for(kernel, configs);
+    auto slot = factory.acquire_slot(kernel, configs.size());
+    factory.write_slot(kernel, configs, *slot);
+    const gnn::GraphBatch& b = slot->batch;
 
     expect_bitwise(ref.x, b.x, "batch x");
     expect_bitwise(ref.e, b.e, "batch e");
@@ -159,6 +187,7 @@ TEST(FastPath, BatchForMatchesPerConfigAssembly) {
     EXPECT_EQ(ref.node_offset, b.node_offset);
     EXPECT_EQ(ref.num_nodes, b.num_nodes);
     EXPECT_EQ(ref.num_graphs, b.num_graphs);
+    factory.release_slot(std::move(slot));
   }
 }
 

@@ -4,6 +4,7 @@
 // (validate + featurize + simulate) that tests/CMakeLists.txt exposes as
 // the `gen_kernels_smoke` ctest.
 #include "frontend/kernel_json.hpp"
+#include "frontend/json_value.hpp"
 
 #include <gtest/gtest.h>
 
@@ -219,6 +220,28 @@ TEST(ParserRejects, ValidJsonInvalidKernel) {
           "\"loops\":[{\"name\":\"i\",\"trip_count\":4,\"parent\":-1,"
           "\"parallel\":[2,4]}],\"stmts\":[]}"),
       std::invalid_argument);
+}
+
+TEST(ParserRejects, DeepNestingFailsCleanly) {
+  // 100,000 open brackets must not overflow the recursive parser's stack:
+  // the nesting bound turns them into a line-numbered error.
+  const std::string deep =
+      std::string(100000, '[') + std::string(100000, ']');
+  try {
+    frontend::parse_kernel(deep);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 1: nesting deeper than"),
+              std::string::npos)
+        << e.what();
+  }
+  // The bound itself still parses; one level more does not.
+  const int d = frontend::json::kMaxDepth;
+  EXPECT_NO_THROW(frontend::json::parse_value(
+      std::string(d, '[') + std::string(d, ']'), "test"));
+  EXPECT_THROW(frontend::json::parse_value(
+                   std::string(d + 1, '[') + std::string(d + 1, ']'), "test"),
+               std::invalid_argument);
 }
 
 TEST(ParserErrors, CarryLineNumbers) {

@@ -128,6 +128,24 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
                std::runtime_error);
 }
 
+TEST(ServeProtocol, DeepNestingIsAnErrorResponse) {
+  // One request line of 100,000 nested arrays must not overflow the
+  // parser's stack and kill the daemon: it is an ordinary error response.
+  const std::string deep =
+      std::string(100000, '[') + std::string(100000, ']');
+  try {
+    serve::parse_request(deep);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string resp = serve::error_line(-1, e.what());
+    EXPECT_EQ(resp.rfind("{\"ok\":false,\"error\":\"serve request, line 1: "
+                         "nesting deeper than",
+                         0),
+              0u)
+        << resp;
+  }
+}
+
 TEST(ServeProtocol, ResponseHelpers) {
   EXPECT_EQ(serve::error_line(-1, "boom"), "{\"ok\":false,\"error\":\"boom\"}");
   EXPECT_EQ(serve::error_line(4, "x\"y"),
@@ -374,6 +392,11 @@ TEST(ServeServer, LoopbackPredictStatsDrain) {
   std::string err;
   ASSERT_TRUE(lines.read_line(&err));
   EXPECT_NE(err.find("\"ok\":false"), std::string::npos) << err;
+  // Pathologically deep nesting: also just an error response.
+  ASSERT_TRUE(sock.send_line(std::string(100000, '[') +
+                             std::string(100000, ']')));
+  ASSERT_TRUE(lines.read_line(&err));
+  EXPECT_NE(err.find("nesting deeper than"), std::string::npos) << err;
 
   ASSERT_TRUE(sock.send_line("{\"kind\":\"admin\",\"op\":\"drain\",\"id\":9}"));
   std::string drained;

@@ -187,18 +187,8 @@ TEST(SimdKernels, FusedKernelsBitIdenticalAcrossLevelsAndThreads) {
   }
 }
 
-/// Restores the gather default on exit (tests mutate the process-wide
-/// variant knob).
-struct EdgeAttnGuard {
-  ~EdgeAttnGuard() {
-    gnn::simd::set_edge_attn_variant(gnn::simd::EdgeAttnVariant::kGather);
-  }
-};
-
 TEST(SimdKernels, EdgeAttentionVariantsBitIdenticalToScalar) {
   DispatchGuard guard;
-  EdgeAttnGuard vguard;
-  using gnn::simd::EdgeAttnVariant;
   util::Rng rng(29);
   const std::int64_t kN = 41;
   // Edge counts and widths with full 8x8 blocks and remainders on both
@@ -219,53 +209,33 @@ TEST(SimdKernels, EdgeAttentionVariantsBitIdenticalToScalar) {
           SimdLevel::kScalar, q.data(), k.data(), ek.data(), src.data(),
           dst.data(), d, 0.125f, ref.data(), 0, e);
       for (SimdLevel lvl : available_levels()) {
-        for (EdgeAttnVariant var :
-             {EdgeAttnVariant::kGather, EdgeAttnVariant::kTranspose}) {
-          ASSERT_EQ(gnn::simd::set_edge_attn_variant(var), var);
-          const std::string tag =
-              std::string("edge_attention ") + util::simd_level_name(lvl) +
-              "/" + gnn::simd::edge_attn_variant_name(var) +
-              " e=" + std::to_string(e) + " d=" + std::to_string(d);
-          std::vector<float> got(static_cast<std::size_t>(e), 0.0f);
+        const std::string tag = std::string("edge_attention ") +
+                                util::simd_level_name(lvl) +
+                                " e=" + std::to_string(e) +
+                                " d=" + std::to_string(d);
+        std::vector<float> got(static_cast<std::size_t>(e), 0.0f);
+        gnn::simd::edge_attention_scores_range(
+            lvl, q.data(), k.data(), ek.data(), src.data(), dst.data(), d,
+            0.125f, got.data(), 0, e);
+        EXPECT_EQ(ref, got) << tag;
+        // Partial edge range (threaded chunks start mid-array): the
+        // untouched prefix/suffix must stay zero.
+        if (e > 4) {
+          std::vector<float> part(static_cast<std::size_t>(e), 0.0f);
           gnn::simd::edge_attention_scores_range(
               lvl, q.data(), k.data(), ek.data(), src.data(), dst.data(), d,
-              0.125f, got.data(), 0, e);
-          EXPECT_EQ(ref, got) << tag;
-          // Partial edge range (threaded chunks start mid-array): the
-          // untouched prefix/suffix must stay zero.
-          if (e > 4) {
-            std::vector<float> part(static_cast<std::size_t>(e), 0.0f);
-            gnn::simd::edge_attention_scores_range(
-                lvl, q.data(), k.data(), ek.data(), src.data(), dst.data(),
-                d, 0.125f, part.data(), 3, e - 1);
-            for (std::int64_t i = 0; i < e; ++i) {
-              const float want =
-                  (i >= 3 && i < e - 1) ? ref[static_cast<std::size_t>(i)]
-                                        : 0.0f;
-              ASSERT_EQ(part[static_cast<std::size_t>(i)], want)
-                  << tag << " partial edge " << i;
-            }
+              0.125f, part.data(), 3, e - 1);
+          for (std::int64_t i = 0; i < e; ++i) {
+            const float want =
+                (i >= 3 && i < e - 1) ? ref[static_cast<std::size_t>(i)]
+                                      : 0.0f;
+            ASSERT_EQ(part[static_cast<std::size_t>(i)], want)
+                << tag << " partial edge " << i;
           }
         }
       }
     }
   }
-}
-
-TEST(SimdKernels, EdgeAttentionVariantKnob) {
-  EdgeAttnGuard vguard;
-  using gnn::simd::EdgeAttnVariant;
-  // The override wins over whatever the env resolved to and reports back
-  // the applied variant; names round-trip for diagnostics.
-  EXPECT_EQ(gnn::simd::set_edge_attn_variant(EdgeAttnVariant::kTranspose),
-            EdgeAttnVariant::kTranspose);
-  EXPECT_EQ(gnn::simd::edge_attn_variant(), EdgeAttnVariant::kTranspose);
-  EXPECT_STREQ(gnn::simd::edge_attn_variant_name(EdgeAttnVariant::kTranspose),
-               "transpose");
-  EXPECT_EQ(gnn::simd::set_edge_attn_variant(EdgeAttnVariant::kGather),
-            EdgeAttnVariant::kGather);
-  EXPECT_STREQ(gnn::simd::edge_attn_variant_name(EdgeAttnVariant::kGather),
-               "gather");
 }
 
 TEST(SimdKernels, RangeHelpersBitIdenticalOnUnalignedViews) {
